@@ -75,6 +75,12 @@ EOF
 echo "== CLI smoke: sharded serve spans two devices =="
 sharded_serve="$(python -m repro serve examples/serve_workload.json \
     --devices 2 --json)"
+sharded_again="$(python -m repro serve examples/serve_workload.json \
+    --devices 2 --json)"
+if [ "$sharded_serve" != "$sharded_again" ]; then
+    echo "sharded serve smoke is not byte-deterministic" >&2
+    exit 1
+fi
 python - <<EOF3
 import json
 report = json.loads('''$sharded_serve''')
@@ -86,6 +92,12 @@ assert alice.get("shards") == 2, f"alice not sharded: {alice}"
 assert sorted(alice.get("devices", [])) == [0, 1], (
     f"alice's shards not on both devices: {alice}"
 )
+# single-device requests keep the pre-sharding digest shape
+for r in report["requests"]:
+    if r.get("shards", 1) == 1:
+        assert "shards" not in r and "devices" not in r, (
+            f"single-device request carries shard keys: {r}"
+        )
 EOF3
 
 echo "== CLI smoke: sdc chaos is detected and recovered under checksums =="

@@ -357,8 +357,12 @@ class PipelineIssuer:
     Attributes of note: :attr:`commands` collects every device command
     this issuer enqueued (used for per-tenant busy-time attribution),
     :attr:`faults_n`/:attr:`retries_n` count policy-absorbed faults and
-    replays.
+    replays.  :class:`~repro.core.multidevice.ShardedIssuer` speaks the
+    same protocol, so a scheduler drives either without asking which.
     """
+
+    #: loop re-splits; a one-device pipeline has nothing to re-split
+    resplits = 0
 
     def __init__(
         self,
@@ -490,6 +494,23 @@ class PipelineIssuer:
     def done_issuing(self) -> bool:
         """Whether every chunk has been issued."""
         return self._cursor >= len(self.chunks)
+
+    def remaining_kernel_bound(self, kernel) -> float:
+        """Cost-model lower bound on the chunks not yet issued.
+
+        Pure kernel occupancy — transfers and queueing can only add to
+        it, so ``elapsed + bound`` is a certified lower bound on the
+        finish time.
+        """
+        profile = self.profile
+        return sum(
+            kernel.chunk_cost(profile, c.t0, c.t1, translated=True)
+            for c in self.chunks[self._cursor:]
+        )
+
+    def member_commands(self) -> List[Tuple[Runtime, List[Command]]]:
+        """``(runtime, commands)`` per member device: just this one."""
+        return [(self.runtime, self.commands)]
 
     @contextmanager
     def _overheads(self):

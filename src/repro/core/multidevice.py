@@ -560,14 +560,17 @@ class ShardedIssuer:
     def remaining_kernel_bound(self, kernel) -> float:
         """Lower bound on remaining work: shards run concurrently, so
         the max over shards of their unissued kernel cost."""
-        bounds = [
-            sum(
-                kernel.chunk_cost(sh.runtime.profile, c.t0, c.t1, translated=True)
-                for c in sh.issuer.chunks[sh.issuer.issued:]
-            )
-            for sh in self._live()
+        return max(
+            (sh.issuer.remaining_kernel_bound(kernel) for sh in self._live()),
+            default=0.0,
+        )
+
+    def member_commands(self) -> List[Tuple[Runtime, List]]:
+        """``(runtime, commands)`` per shard, re-split shards included."""
+        return [
+            (sh.runtime, sh.issuer.commands)
+            for sh in self._shards if sh.issuer is not None
         ]
-        return max(bounds, default=0.0)
 
     # ------------------------------------------------------------------
     # fault routing

@@ -18,23 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.obs.io import atomic_write_text
+from repro.obs.io import atomic_write_text, round_floats
 
 __all__ = ["AnalysisDiff", "diff_analyses", "round_floats", "write_analysis"]
-
-_DIGITS = 12
-
-
-def round_floats(obj):
-    """Recursively round floats to 12 digits (and kill ``-0.0``)."""
-    if isinstance(obj, float):
-        v = round(obj, _DIGITS)
-        return 0.0 if v == 0 else v
-    if isinstance(obj, dict):
-        return {k: round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_floats(v) for v in obj]
-    return obj
 
 
 def write_analysis(snapshot: Dict, path: str) -> None:

@@ -53,7 +53,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs.io import atomic_write_text
+from repro.obs.io import atomic_write_text, canonical_json, round_floats
 from repro.obs.intervals import union_length
 from repro.obs.metrics import Histogram
 
@@ -79,40 +79,13 @@ TELEMETRY_SCHEMA = "repro/telemetry/v1"
 #: frames stay strict-JSON
 BURN_SATURATED = 1e12
 
-#: float rounding (significant digits after the point) — mirrors the
-#: analyzer snapshot convention so telemetry frames are byte-stable
-_DIGITS = 12
-
 #: ASCII sparkline ramp, low to high (10 levels, deterministic)
 _RAMP = " .:-=+*#%@"
 
 
-def _round(obj):
-    """Round floats to :data:`_DIGITS` digits recursively (JSON-safe).
-
-    Kills ``-0.0`` so sign-of-zero noise never flips a byte.  Local
-    twin of ``repro.obs.analyze.snapshot.round_floats`` — duplicated
-    here (it is four lines) so importing telemetry never drags the
-    analyzer, and with it :mod:`repro.sim.engine`, into the eager
-    import graph.
-    """
-    if isinstance(obj, float):
-        v = round(obj, _DIGITS)
-        return 0.0 if v == 0.0 else v
-    if isinstance(obj, dict):
-        return {k: _round(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round(v) for v in obj]
-    return obj
-
-
-#: one shared compact encoder (same idiom as the serve journal)
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def encode_frame(frame: Dict) -> str:
     """Canonical one-line frame encoding (rounded, sorted, compact)."""
-    return _ENCODE(_round(frame))
+    return canonical_json(round_floats(frame))
 
 
 # ----------------------------------------------------------------------
@@ -522,14 +495,14 @@ class TelemetrySampler:
                     tenant: dict(series[i])
                     for tenant, series in slo_windows.items()
                 }
-            frames.append(_round(frame))
+            frames.append(round_floats(frame))
         return frames
 
     def slo_report(self) -> Dict[str, Dict]:
         """Whole-run per-tenant SLO digest (empty without SLOs)."""
         if not self.slo.slos:
             return {}
-        return _round(self.slo.report(len(self.frames())))
+        return round_floats(self.slo.report(len(self.frames())))
 
 
 # ----------------------------------------------------------------------
@@ -576,7 +549,7 @@ def _metric_name(name: str, *, prefix: str) -> str:
 
 def _fmt(v: float) -> str:
     """Deterministic numeric text (canonical JSON float form)."""
-    return json.dumps(_round(v))
+    return canonical_json(round_floats(v))
 
 
 def prometheus_text(frames: List[Dict], *, prefix: str = "repro") -> str:

@@ -146,7 +146,7 @@ class RequestResult:
     resplits: int = 0
     #: devices the region was sharded across (1 = ordinary service)
     shards: int = 1
-    #: all devices that served this request (``[device]`` when not sharded)
+    #: all devices that served this request (empty when not sharded)
     devices: tuple = ()
 
     @property

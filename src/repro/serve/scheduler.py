@@ -28,16 +28,18 @@ a shared :class:`~repro.serve.DevicePool`:
   region's kernels.  ``ServeConfig(max_active=1)`` disables it,
   which is the back-to-back serial baseline the differential tests and
   the throughput benchmark compare against.
-- **Sharding**: a request with ``shards > 1`` is placed on up to that
-  many in-service devices at once and served by one
-  :class:`~repro.core.multidevice.ShardedIssuer` — the region's loop
+- **One admission path**: every placement is a *member list* — one
+  device for ordinary service, up to ``shards`` in-service devices for
+  a request with ``shards > 1`` (fewer fitting devices degrade
+  gracefully down to one).  Admission reserves the plan's footprint on
+  every member and opens one issuer; the only thing the member count
+  decides is which: a :class:`~repro.core.executor.PipelineIssuer` for
+  one device, a :class:`~repro.core.multidevice.ShardedIssuer` (loop
   split by probed throughput on a shared virtual clock, halo exchange
-  and shared-PCIe contention modelled, the plan's footprint reserved
-  on every member.  Fewer fitting devices degrade gracefully down to
-  ordinary single-device service; a member's death escalates to
-  pool-level failover (the whole request re-queues).  On workloads
-  with no sharded requests every branch here is inert and the
-  schedule bit-identical to the single-device scheduler.
+  and shared-PCIe contention modelled) for more.  Both speak one
+  issuer protocol, so retirement, cancellation, failover, deadlines
+  and telemetry never ask which.  A member's death escalates to
+  pool-level failover (the whole request re-queues).
 
 When the pool carries fault injectors the scheduler additionally runs
 a **failure-handling state machine** (all of it inert — and the
@@ -77,7 +79,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.core.autotune import autotune
 from repro.core.executor import PipelineIssuer
@@ -122,6 +124,22 @@ __all__ = ["ServeConfig", "RegionScheduler", "ServeReport"]
 #: burn-rate threshold for the ``slo.burn_spike`` event — the classic
 #: SRE fast-burn page (2% of a 30-day budget in one hour = 14.4x)
 _BURN_SPIKE = 14.4
+
+#: terminal status -> (flight-recorder event, its text field,
+#: post-mortem dump reason, the dump's text field).  A request still
+#: waiting records the event only; an in-flight one also dumps.
+_TERMINAL = {
+    "failed": ("request.fail", "error", "region-failure", "error"),
+    "cancelled": ("request.cancel", "reason", "deadline-cancel", "cause"),
+    "shed": ("request.shed", "reason", None, None),
+}
+
+
+def _describe(error: Union[str, BaseException]) -> str:
+    """Result text for a terminal outcome: a reason, or ``Type: msg``."""
+    if isinstance(error, BaseException):
+        return f"{type(error).__name__}: {error}"
+    return error
 
 
 @dataclass
@@ -635,18 +653,16 @@ class _Active:
 
     admit_seq: int
     waiting: _Waiting
-    issuer: PipelineIssuer
-    device: int
+    issuer: Union[PipelineIssuer, ShardedIssuer]
+    #: serving device indices, primary first (one for ordinary
+    #: service); ``reserved`` bytes are held on each
+    members: List[int]
     plan: RegionPlan
     reserved: int
     admit_t: float
     #: faulted commands owned by this issuer, claimed off the runtime
     #: by another tenant's sync and parked here for its own recovery
     backlog: List = field(default_factory=list)
-    #: member device indices when the region is sharded across several
-    #: devices (``None`` = ordinary single-device service; ``device``
-    #: is then the primary member and ``reserved`` is per member)
-    devices: Optional[List[int]] = None
 
 
 class RegionScheduler:
@@ -801,16 +817,8 @@ class RegionScheduler:
         if s is None:
             return
         t0 = time.perf_counter()
-        shards = getattr(a.issuer, "_shards", None)
-        if shards is not None:
-            rt_dev = {id(rt): i for i, rt in enumerate(self.pool.runtimes)}
-            groups = [
-                (rt_dev.get(id(sh.runtime), a.device), sh.issuer.commands)
-                for sh in shards
-            ]
-        else:
-            groups = [(a.device, a.issuer.commands)]
-        for di, commands in groups:
+        for rt, commands in a.issuer.member_commands():
+            di = self.pool.runtimes.index(rt)
             for cmd in commands:
                 if cmd.state == "done" and cmd.kind in ("h2d", "d2h", "kernel"):
                     s.add_interval(
@@ -939,8 +947,8 @@ class RegionScheduler:
                 for w in self._waiting
             ],
             "active": [
-                [a.waiting.seq, a.admit_seq, a.device,
-                 list(a.devices) if a.devices else None,
+                [a.waiting.seq, a.admit_seq, a.members[0],
+                 list(a.members) if len(a.members) > 1 else None,
                  int(a.reserved), a.issuer.issued, a.issuer.remaining,
                  a.issuer.retries_n]
                 for a in sorted(self._active, key=lambda a: a.admit_seq)
@@ -1144,9 +1152,8 @@ class RegionScheduler:
             if victim is not w:
                 self._waiting.remove(victim)
                 self._waiting.append(w)
-            self._shed(
-                victim,
-                f"admission queue full (max_waiting={limit})",
+            self._settle(
+                victim, "shed", f"admission queue full (max_waiting={limit})"
             )
         else:
             self._waiting.append(w)
@@ -1277,7 +1284,9 @@ class RegionScheduler:
                     device=device, until=self._quarantined_until[device],
                 )
 
-    def _claim_for(self, issuer: PipelineIssuer, device: int) -> List:
+    def _claim_for(
+        self, issuer: Union[PipelineIssuer, ShardedIssuer], device: int
+    ) -> List:
         """Fault router: claim ``issuer``'s faults off its runtime.
 
         ``Runtime.pop_faults`` hands over *every* unclaimed fault on
@@ -1299,7 +1308,7 @@ class RegionScheduler:
                 self._record_device_fault(device, cmd.finish_time)
             owner = None
             for a in self._active:
-                if device in (a.devices or [a.device]) and cmd in a.issuer.meta:
+                if device in a.members and cmd in a.issuer.meta:
                     owner = a
                     break
             if owner is not None and owner is not rec:
@@ -1326,8 +1335,8 @@ class RegionScheduler:
         )
 
     def _placements(self) -> List:
-        """(waiting, device, plan, members) for every request that fits
-        now (``members`` is None for ordinary single-device service)."""
+        """(waiting, plan, members) for every request that fits now;
+        ``members`` are the serving devices, primary first."""
         out = []
         for w in list(self._waiting):
             if w.oom_deferred:
@@ -1346,16 +1355,16 @@ class RegionScheduler:
                     for di in order:
                         plan = self._plan(w, di)
                         if self.pool.fits(di, plan.device_bytes()):
-                            placed = (w, di, plan, None)
+                            placed = (w, plan, [di])
                             break
                 if placed is not None:
                     out.append(placed)
             except (MemLimitError, DirectiveError) as exc:
-                self._fail(w, exc)
+                self._settle(w, "failed", exc)
         return out
 
     def _placement_sharded(self, w: _Waiting, order: List[int]):
-        """Member set for a ``shards > 1`` request.
+        """Member list for a ``shards > 1`` request.
 
         Picks up to ``shards`` in-service devices (most headroom first)
         whose unreserved budgets each fit the plan's full footprint, and
@@ -1373,7 +1382,7 @@ class RegionScheduler:
         members = members[: max(1, min(w.req.shards, trip))]
         if len(members) < 2:
             return None
-        return (w, members[0], plan, members)
+        return (w, plan, members)
 
     def _admit(self) -> bool:
         """Admit fitting requests by effective priority; True if any."""
@@ -1386,212 +1395,122 @@ class RegionScheduler:
             if not fits:
                 break
             pick = max(fits, key=lambda t: (self._effective_priority(t[0]), -t[0].seq))
-            w, device, plan, members = pick
+            w, plan, members = pick
             # aging and starvation accounting for everyone passed over
-            for other, _odi, _op, _om in fits:
+            for other, _op, _om in fits:
                 if other is w:
                     continue
                 other.passed_over += 1
                 if other.seq < w.seq:
                     other.overtaken += 1
-            if self._open(w, device, plan, members):
+            if self._open(w, plan, members):
                 admitted_any = True
         return admitted_any
 
-    def _open(
-        self,
-        w: _Waiting,
-        device: int,
-        plan: RegionPlan,
-        members: Optional[List[int]] = None,
-    ) -> bool:
-        """Reserve, charge planning, and open the pipeline for ``w``."""
-        if members is not None and len(members) > 1:
-            return self._open_sharded(w, members, plan)
-        rt = self.pool.runtimes[device]
+    def _open(self, w: _Waiting, plan: RegionPlan, members: List[int]) -> bool:
+        """Reserve on every member, charge planning, and open one issuer.
+
+        The member count picks the issuer: a plain pipeline on one
+        device, or the loop split over several by probed throughput on
+        a shared virtual clock (halo exchange and shared-PCIe
+        contention modelled).  Device loss is *not* self-healed inside
+        the issuer — it escalates to pool-level failover so the whole
+        request re-queues onto healthy devices.
+        """
+        req = w.req
+        runtimes = [self.pool.runtimes[di] for di in members]
+        policy = self._policy if self._fault_mode else None
+        integrity = self._integrity_for(req)
+        try:
+            if len(members) == 1:
+                issuer = PipelineIssuer(
+                    runtimes[0], plan, req.arrays, req.kernel,
+                    stream_prefix=f"t{w.seq}.pipe", region_span=False,
+                    policy=policy, recorder=self.recorder,
+                    integrity=integrity,
+                )
+            else:
+                issuer = ShardedIssuer(
+                    runtimes, plan, req.arrays, req.kernel,
+                    stream_prefix=f"t{w.seq}.shard", policy=policy,
+                    recorder=self.recorder, self_heal=False, measure=False,
+                    integrity=integrity,
+                    watchdog=self.config.straggler_watchdog,
+                )
+        except Exception as exc:
+            self._settle(w, "failed", exc)
+            return False
+        if policy is not None:
+            issuer.claim_faults = lambda i=issuer, ds=tuple(members): [
+                cmd for d in ds for cmd in self._claim_for(i, d)
+            ]
         nbytes = plan.device_bytes()
-        self.pool.reserve(device, nbytes)
-        admit_t = rt.elapsed
+        for k, di in enumerate(members):
+            try:
+                self.pool.reserve(di, nbytes)
+            except Exception:
+                for dj in members[:k]:
+                    self.pool.release(dj, nbytes)
+                raise
+        admit_t = runtimes[0].elapsed
         if w.dry_runs:
             charge = w.dry_runs * self.config.plan_charge
-            rt.host_now += charge
+            runtimes[0].host_now += charge
             self.plan_seconds += charge
             w.dry_runs = 0  # charge once
-        policy = self._policy if self._fault_mode else None
-        issuer = PipelineIssuer(
-            rt, plan, w.req.arrays, w.req.kernel,
-            stream_prefix=f"t{w.seq}.pipe", region_span=False,
-            policy=policy,
-            integrity=self._integrity_for(w.req),
-        )
-        if policy is not None:
-            issuer.claim_faults = (
-                lambda i=issuer, d=device: self._claim_for(i, d)
-            )
-        issuer.recorder = self.recorder
         try:
             issuer.open()
-        except OutOfDeviceMemory:
-            # budget fits but the allocator is fragmented: retire
-            # something first, then retry this request
-            issuer.abort()
-            self.pool.release(device, nbytes)
-            w.planned.pop(device, None)
-            if self._active:
-                w.oom_deferred = True
-                return False
-            self._fail(w, MemLimitError(nbytes, self.pool.budgets[device]))
-            return False
-        except DeviceLostError:
-            # the device died while staging: fail over, not fail
-            issuer.abort()
-            self.pool.release(device, nbytes)
-            w.faults_seen += issuer.faults_n
-            w.retries_used += issuer.retries_n
-            w.migrated = True
-            self._device_lost(device)
-            return False
         except HostCrashError:
             raise  # the injected host crash must not become a request failure
         except Exception as exc:
             issuer.abort()
-            self.pool.release(device, nbytes)
-            self._fail(w, exc)
-            return False
-        self._waiting.remove(w)
-        self.recorder.record(
-            "request.admit",
-            t=admit_t,
-            request=w.seq,
-            tenant=w.req.tenant,
-            device=device,
-            chunk_size=plan.chunk_size,
-            num_streams=plan.num_streams,
-            migrated=True if w.migrated else None,
-        )
-        self._active.append(_Active(
-            admit_seq=self._admit_seq,
-            waiting=w,
-            issuer=issuer,
-            device=device,
-            plan=plan,
-            reserved=nbytes,
-            admit_t=admit_t,
-        ))
-        self._admit_seq += 1
-        return True
-
-    def _open_sharded(
-        self, w: _Waiting, members: List[int], plan: RegionPlan
-    ) -> bool:
-        """Reserve on every member and open one sharded pipeline.
-
-        The region's loop is split over the member devices by probed
-        throughput on a shared virtual clock (halo exchange and shared
-        PCIe contention modelled by the :class:`ShardedIssuer`); the
-        plan's full footprint is reserved on each member.  Device loss
-        is *not* self-healed here — it escalates to pool-level failover
-        so the whole request re-queues onto healthy devices.
-        """
-        primary = members[0]
-        rt = self.pool.runtimes[primary]
-        nbytes = plan.device_bytes()
-        reserved: List[int] = []
-        try:
-            for di in members:
-                self.pool.reserve(di, nbytes)
-                reserved.append(di)
-        except Exception:
-            for di in reserved:
-                self.pool.release(di, nbytes)
-            raise
-        admit_t = rt.elapsed
-        if w.dry_runs:
-            charge = w.dry_runs * self.config.plan_charge
-            rt.host_now += charge
-            self.plan_seconds += charge
-            w.dry_runs = 0  # charge once
-        policy = self._policy if self._fault_mode else None
-        try:
-            issuer = ShardedIssuer(
-                [self.pool.runtimes[di] for di in members],
-                plan, w.req.arrays, w.req.kernel,
-                policy=policy,
-                stream_prefix=f"t{w.seq}.shard",
-                recorder=self.recorder,
-                self_heal=False,
-                measure=False,
-                integrity=self._integrity_for(w.req),
-                watchdog=self.config.straggler_watchdog,
-            )
-        except HostCrashError:
-            raise
-        except Exception as exc:
             for di in members:
                 self.pool.release(di, nbytes)
-            self._fail(w, exc)
-            return False
-        if policy is not None:
-            issuer.claim_faults = (
-                lambda i=issuer, ds=tuple(members): [
-                    cmd for d in ds for cmd in self._claim_for(i, d)
-                ]
-            )
-        try:
-            issuer.open()
-        except OutOfDeviceMemory:
-            issuer.abort()
-            for di in members:
-                self.pool.release(di, nbytes)
-                w.planned.pop(di, None)
-            if self._active:
-                w.oom_deferred = True
+            if isinstance(exc, DeviceLostError):
+                # a member died while staging: fail over, not fail
+                w.faults_seen += issuer.faults_n
+                w.retries_used += issuer.retries_n
+                w.migrated = True
+                for di in self._lost_members(members):
+                    self._device_lost(di)
                 return False
-            self._fail(w, MemLimitError(nbytes, self.pool.budgets[primary]))
-            return False
-        except DeviceLostError:
-            # a member died while staging: fail over, not fail
-            issuer.abort()
-            for di in members:
-                self.pool.release(di, nbytes)
-            w.faults_seen += issuer.faults_n
-            w.retries_used += issuer.retries_n
-            w.migrated = True
-            for di in self._lost_members(members):
-                self._device_lost(di)
-            return False
-        except HostCrashError:
-            raise
-        except Exception as exc:
-            issuer.abort()
-            for di in members:
-                self.pool.release(di, nbytes)
-            self._fail(w, exc)
+            if isinstance(exc, OutOfDeviceMemory):
+                # budget fits but the allocator is fragmented: retire
+                # something first, then retry this request
+                for di in members:
+                    w.planned.pop(di, None)
+                if self._active:
+                    w.oom_deferred = True
+                    return False
+                exc = MemLimitError(nbytes, self.pool.budgets[members[0]])
+            self._settle(w, "failed", exc)
             return False
         self._waiting.remove(w)
+        sharded = (
+            {"devices": list(members), "shards": len(members)}
+            if len(members) > 1 else {}
+        )
         self.recorder.record(
             "request.admit",
             t=admit_t,
             request=w.seq,
-            tenant=w.req.tenant,
-            device=primary,
-            devices=list(members),
-            shards=len(members),
+            tenant=req.tenant,
+            device=members[0],
+            **sharded,
             chunk_size=plan.chunk_size,
             num_streams=plan.num_streams,
             migrated=True if w.migrated else None,
         )
-        if self.obs.metrics.enabled:
+        if sharded and self.obs.metrics.enabled:
             self.obs.metrics.counter("serve.sharded").inc()
         self._active.append(_Active(
             admit_seq=self._admit_seq,
             waiting=w,
             issuer=issuer,
-            device=primary,
+            members=members,
             plan=plan,
             reserved=nbytes,
             admit_t=admit_t,
-            devices=list(members),
         ))
         self._admit_seq += 1
         return True
@@ -1599,11 +1518,6 @@ class RegionScheduler:
     # ------------------------------------------------------------------
     # completion
     # ------------------------------------------------------------------
-    @staticmethod
-    def _members_of(a: _Active) -> List[int]:
-        """All devices serving ``a`` (just its own for ordinary service)."""
-        return a.devices or [a.device]
-
     def _lost_members(self, members: List[int]) -> List[int]:
         """Which of ``members`` actually died (primary if undetectable)."""
         dead = [d for d in members if self.pool.runtimes[d].device.lost]
@@ -1611,9 +1525,8 @@ class RegionScheduler:
 
     def _elapsed_of(self, a: _Active) -> float:
         """Finish clock for ``a``: the latest member device's elapsed."""
-        return max(
-            self.pool.runtimes[di].elapsed for di in self._members_of(a)
-        )
+        return max(self.pool.runtimes[di].elapsed for di in a.members)
+
     def _clock(self) -> float:
         """Least-advanced healthy device clock (decision time for
         queue-side outcomes, which belong to no single device)."""
@@ -1622,7 +1535,11 @@ class RegionScheduler:
             return self.pool.elapsed
         return min(self.pool.runtimes[i].elapsed for i in alive)
 
-    def _fail(self, w: _Waiting, exc: Exception) -> None:
+    def _settle(
+        self, w: _Waiting, status: str, error: Union[str, BaseException]
+    ) -> None:
+        """End a request that was never admitted: ``"failed"`` (planning
+        or staging failed) or ``"shed"`` (overload, hopeless deadline)."""
         if w in self._waiting:
             self._waiting.remove(w)
         req = w.req
@@ -1631,177 +1548,98 @@ class RegionScheduler:
             request_id=w.seq,
             tenant=req.tenant,
             label=req.label,
-            status="failed",
+            status=status,
             priority=req.priority,
             finished=finished,
             queue_wait=max(0.0, finished - req.arrival),
             overtaken=w.overtaken,
             deadline=req.deadline,
             deadline_met=False if req.deadline is not None else None,
-            error=f"{type(exc).__name__}: {exc}",
+            error=_describe(error),
             migrated=w.migrated,
             faults=w.faults_seen,
             retries=w.retries_used,
         )
+        kind, key = _TERMINAL[status][:2]
         self.recorder.record(
-            "request.fail",
-            t=finished,
-            request=w.seq,
-            tenant=req.tenant,
-            error=result.error,
+            kind, t=finished, request=w.seq, tenant=req.tenant,
+            **{key: result.error},
         )
         self._results.append(result)
         self._observe(result)
         self._journal_done(result)
 
-    def _shed(self, w: _Waiting, reason: str) -> None:
-        """Drop a still-waiting request (overload or hopeless deadline)."""
-        if w in self._waiting:
-            self._waiting.remove(w)
-        req = w.req
-        finished = self._clock()
-        result = RequestResult(
+    def _active_result(
+        self, a: _Active, status: str, finish_t: float, error: str = ""
+    ) -> RequestResult:
+        """The outcome of an admitted request.  A region cut short
+        counts the chunks it issued and cannot have met its deadline."""
+        w, req, issuer = a.waiting, a.waiting.req, a.issuer
+        ok = status == "ok"
+        busy: Dict[str, float] = {}
+        if ok:
+            busy = {"h2d": 0.0, "d2h": 0.0, "kernel": 0.0}
+            for cmd in issuer.commands:
+                if cmd.kind in busy:
+                    busy[cmd.kind] += cmd.duration
+        return RequestResult(
             request_id=w.seq,
             tenant=req.tenant,
             label=req.label,
-            status="shed",
+            status=status,
             priority=req.priority,
-            finished=finished,
-            queue_wait=max(0.0, finished - req.arrival),
+            device=a.members[0],
+            admitted=a.admit_t,
+            finished=finish_t,
+            queue_wait=max(0.0, a.admit_t - req.arrival),
+            service=finish_t - a.admit_t,
+            cache_hit=w.cache_hit,
+            chunk_size=a.plan.chunk_size,
+            num_streams=issuer.streams_n,
+            nchunks=len(issuer.chunks) if ok else issuer.issued,
+            device_bytes=a.reserved,
             overtaken=w.overtaken,
+            busy=busy,
+            commands=len(issuer.commands),
             deadline=req.deadline,
-            deadline_met=False if req.deadline is not None else None,
-            error=reason,
+            deadline_met=(ok and finish_t <= req.deadline)
+            if req.deadline is not None else None,
+            error=error,
             migrated=w.migrated,
-            faults=w.faults_seen,
-            retries=w.retries_used,
+            faults=w.faults_seen + issuer.faults_n,
+            retries=w.retries_used + issuer.retries_n,
+            verified=issuer.verified_n,
+            corruptions=issuer.corruptions_n,
+            resplits=issuer.resplits,
+            shards=len(a.members),
+            devices=tuple(a.members) if len(a.members) > 1 else (),
         )
-        self.recorder.record(
-            "request.shed",
-            t=finished,
-            request=w.seq,
-            tenant=req.tenant,
-            reason=reason,
-        )
-        self._results.append(result)
-        self._observe(result)
-        self._journal_done(result)
 
-    def _release_active(self, a: _Active) -> None:
-        """Abort an in-flight region and hand its memory back."""
+    def _end_active(
+        self, a: _Active, status: str, error: Union[str, BaseException]
+    ) -> None:
+        """Cut an in-flight region short: ``"cancelled"`` at the chunk
+        boundary (deadline unreachable) or ``"failed"`` (retry budget
+        or policy exhausted)."""
         a.issuer.abort()
-        for di in self._members_of(a):
+        for di in a.members:
             self.pool.release(di, a.reserved)
         self._active.remove(a)
         # memory was released: blocked requests may fit now
         for w2 in self._waiting:
             w2.oom_deferred = False
-
-    def _cancel(self, a: _Active, reason: str) -> None:
-        """Cut an in-flight region at the current chunk boundary."""
-        self._release_active(a)
         self._harvest_telemetry(a)
         finish_t = self._elapsed_of(a)
-        w, req = a.waiting, a.waiting.req
-        result = RequestResult(
-            request_id=w.seq,
-            tenant=req.tenant,
-            label=req.label,
-            status="cancelled",
-            priority=req.priority,
-            device=a.device,
-            admitted=a.admit_t,
-            finished=finish_t,
-            queue_wait=max(0.0, a.admit_t - req.arrival),
-            service=finish_t - a.admit_t,
-            cache_hit=w.cache_hit,
-            chunk_size=a.plan.chunk_size,
-            num_streams=a.issuer.streams_n,
-            nchunks=a.issuer.issued,
-            device_bytes=a.reserved,
-            overtaken=w.overtaken,
-            commands=len(a.issuer.commands),
-            deadline=req.deadline,
-            deadline_met=False if req.deadline is not None else None,
-            error=reason,
-            migrated=w.migrated,
-            faults=w.faults_seen + a.issuer.faults_n,
-            retries=w.retries_used + a.issuer.retries_n,
-            verified=a.issuer.verified_n,
-            corruptions=a.issuer.corruptions_n,
-            resplits=getattr(a.issuer, "resplits", 0),
-            shards=len(a.devices) if a.devices else 1,
-            devices=tuple(a.devices or ()),
-        )
+        result = self._active_result(a, status, finish_t, _describe(error))
+        kind, key, dump, dump_key = _TERMINAL[status]
+        w, device = a.waiting, a.members[0]
         self.recorder.record(
-            "request.cancel",
-            t=finish_t,
-            request=w.seq,
-            tenant=req.tenant,
-            device=a.device,
-            reason=reason,
+            kind, t=finish_t, request=w.seq, tenant=w.req.tenant,
+            device=device, **{key: result.error},
         )
         self.recorder.dump(
-            "deadline-cancel",
-            request=w.seq,
-            tenant=req.tenant,
-            device=a.device,
-            cause=reason,
-        )
-        self._results.append(result)
-        self._observe(result)
-        self._journal_done(result)
-
-    def _fail_active(self, a: _Active, exc: Exception) -> None:
-        """Terminal in-flight failure (retry budget / policy exhausted)."""
-        self._release_active(a)
-        self._harvest_telemetry(a)
-        finish_t = self._elapsed_of(a)
-        w, req = a.waiting, a.waiting.req
-        result = RequestResult(
-            request_id=w.seq,
-            tenant=req.tenant,
-            label=req.label,
-            status="failed",
-            priority=req.priority,
-            device=a.device,
-            admitted=a.admit_t,
-            finished=finish_t,
-            queue_wait=max(0.0, a.admit_t - req.arrival),
-            service=finish_t - a.admit_t,
-            cache_hit=w.cache_hit,
-            chunk_size=a.plan.chunk_size,
-            num_streams=a.issuer.streams_n,
-            nchunks=a.issuer.issued,
-            device_bytes=a.reserved,
-            overtaken=w.overtaken,
-            commands=len(a.issuer.commands),
-            deadline=req.deadline,
-            deadline_met=False if req.deadline is not None else None,
-            error=f"{type(exc).__name__}: {exc}",
-            migrated=w.migrated,
-            faults=w.faults_seen + a.issuer.faults_n,
-            retries=w.retries_used + a.issuer.retries_n,
-            verified=a.issuer.verified_n,
-            corruptions=a.issuer.corruptions_n,
-            resplits=getattr(a.issuer, "resplits", 0),
-            shards=len(a.devices) if a.devices else 1,
-            devices=tuple(a.devices or ()),
-        )
-        self.recorder.record(
-            "request.fail",
-            t=finish_t,
-            request=w.seq,
-            tenant=req.tenant,
-            device=a.device,
-            error=result.error,
-        )
-        self.recorder.dump(
-            "region-failure",
-            request=w.seq,
-            tenant=req.tenant,
-            device=a.device,
-            error=result.error,
+            dump, request=w.seq, tenant=w.req.tenant, device=device,
+            **{dump_key: result.error},
         )
         self._results.append(result)
         self._observe(result)
@@ -1834,12 +1672,12 @@ class RegionScheduler:
                 f"device-lost:dev{device}", "serve", device=device,
             )
         victims = sorted(
-            (a for a in self._active if device in self._members_of(a)),
+            (a for a in self._active if device in a.members),
             key=lambda a: a.admit_seq,
         )
         for a in victims:
             a.issuer.abort()
-            for di in self._members_of(a):
+            for di in a.members:
                 self.pool.release(di, a.reserved)
             self._active.remove(a)
             w = a.waiting
@@ -1864,7 +1702,7 @@ class RegionScheduler:
         self.recorder.dump("device-lost", device=device, victims=len(victims))
         if not self.pool.alive():
             for w in list(self._waiting):
-                self._fail(w, DeviceLostError(
+                self._settle(w, "failed", DeviceLostError(
                     f"device {device} lost and no healthy devices remain"
                 ))
 
@@ -1880,8 +1718,7 @@ class RegionScheduler:
             a.issuer.drain()
             if a.issuer._corruptions or (
                 self._fault_mode and any(
-                    self.pool.injectors[di] is not None
-                    for di in self._members_of(a)
+                    self.pool.injectors[di] is not None for di in a.members
                 )
             ):
                 budget = None
@@ -1895,72 +1732,35 @@ class RegionScheduler:
             a.issuer.account_stalls()
             a.issuer.finalize()
         except DeviceLostError:
-            for di in self._lost_members(self._members_of(a)):
+            for di in self._lost_members(a.members):
                 self._device_lost(di)
             return
-        except RegionFailure as exc:
-            self._fail_active(a, exc)
+        except (RegionFailure, TransferError, KernelFaultError) as exc:
+            # policy/retry budget exhausted, or a blocking resident copy
+            # exhausted its per-copy retries
+            self._end_active(a, "failed", exc)
             return
-        except (TransferError, KernelFaultError) as exc:
-            # a blocking resident copy exhausted its per-copy retries
-            self._fail_active(a, exc)
-            return
-        if a.devices is None:
+        if len(a.members) == 1:
             # single-device service: detected corruptions count toward
             # the serving device's circuit breaker (sharded corruption
             # entries carry no member attribution; the watchdog and
             # seam verification cover member health there)
             for entry in a.issuer.corruption_log:
                 self._record_device_fault(
-                    a.device, entry[5], cause="corruption"
+                    a.members[0], entry[5], cause="corruption"
                 )
         finish_t = self._elapsed_of(a)
         self._harvest_telemetry(a)
-        for di in self._members_of(a):
+        for di in a.members:
             self.pool.release(di, a.reserved)
         w, req = a.waiting, a.waiting.req
-        busy: Dict[str, float] = {"h2d": 0.0, "d2h": 0.0, "kernel": 0.0}
-        for cmd in a.issuer.commands:
-            if cmd.kind in busy:
-                busy[cmd.kind] += cmd.duration
-        queue_wait = max(0.0, a.admit_t - req.arrival)
-        result = RequestResult(
-            request_id=w.seq,
-            tenant=req.tenant,
-            label=req.label,
-            status="ok",
-            priority=req.priority,
-            device=a.device,
-            admitted=a.admit_t,
-            finished=finish_t,
-            queue_wait=queue_wait,
-            service=finish_t - a.admit_t,
-            cache_hit=w.cache_hit,
-            chunk_size=a.plan.chunk_size,
-            num_streams=a.issuer.streams_n,
-            nchunks=len(a.issuer.chunks),
-            device_bytes=a.reserved,
-            overtaken=w.overtaken,
-            busy=busy,
-            commands=len(a.issuer.commands),
-            deadline=req.deadline,
-            deadline_met=(finish_t <= req.deadline)
-            if req.deadline is not None else None,
-            migrated=w.migrated,
-            faults=w.faults_seen + a.issuer.faults_n,
-            retries=w.retries_used + a.issuer.retries_n,
-            verified=a.issuer.verified_n,
-            corruptions=a.issuer.corruptions_n,
-            resplits=getattr(a.issuer, "resplits", 0),
-            shards=len(a.devices) if a.devices else 1,
-            devices=tuple(a.devices or ()),
-        )
+        result = self._active_result(a, "ok", finish_t)
         self.recorder.record(
             "request.retire",
             t=finish_t,
             request=w.seq,
             tenant=req.tenant,
-            device=a.device,
+            device=a.members[0],
             migrated=True if w.migrated else None,
             faults=result.faults or None,
             retries=result.retries or None,
@@ -2043,30 +1843,14 @@ class RegionScheduler:
     # ------------------------------------------------------------------
     # deadlines
     # ------------------------------------------------------------------
-    def _remaining_lower_bound(self, a: _Active) -> float:
-        """Cost-model lower bound on ``a``'s unissued chunks.
-
-        Pure kernel occupancy of the chunks not yet issued — transfers
-        and queueing can only add to it, so ``elapsed + bound`` is a
-        certified lower bound on the finish time.
-        """
-        kernel = a.waiting.req.kernel
-        if a.devices:
-            # shards run concurrently: the bound is the max over shards
-            return a.issuer.remaining_kernel_bound(kernel)
-        profile = self.pool.runtimes[a.device].profile
-        return sum(
-            kernel.chunk_cost(profile, c.t0, c.t1, translated=True)
-            for c in a.issuer.chunks[a.issuer.issued:]
-        )
-
     def _enforce_deadlines(self) -> None:
         """Cancel provably-late in-flight regions; shed hopeless waiters."""
         now = self._clock()
         for w in list(self._waiting):
             if w.req.deadline is not None and now > w.req.deadline:
-                self._shed(
+                self._settle(
                     w,
+                    "shed",
                     f"deadline {w.req.deadline:.6g}s already passed "
                     f"at {now:.6g}s",
                 )
@@ -2074,10 +1858,15 @@ class RegionScheduler:
             deadline = a.waiting.req.deadline
             if deadline is None or not a.issuer.remaining:
                 continue
-            bound = self._elapsed_of(a) + self._remaining_lower_bound(a)
+            # elapsed + the remaining chunks' kernel occupancy is a
+            # certified lower bound on the finish time
+            bound = self._elapsed_of(a) + a.issuer.remaining_kernel_bound(
+                a.waiting.req.kernel
+            )
             if bound > deadline:
-                self._cancel(
+                self._end_active(
                     a,
+                    "cancelled",
                     f"deadline {deadline:.6g}s unreachable: "
                     f"lower bound {bound:.6g}s with "
                     f"{a.issuer.remaining} chunk(s) unissued",
@@ -2128,11 +1917,10 @@ class RegionScheduler:
         if sampler is not None:
             # the simulators' retirement clock hook closes telemetry
             # windows mid-drain; frames are finalized lazily so they
-            # are identical with or without the hook (older simulator
-            # builds without one fall back to per-turn advances below)
+            # are identical with or without the hook (a simulator that
+            # never calls it is covered by the per-turn advances below)
             for rt in self.pool.runtimes:
-                if hasattr(rt.device.sim, "clock_hook"):
-                    rt.device.sim.clock_hook = sampler.advance
+                rt.device.sim.clock_hook = sampler.advance
         try:
             while self._waiting or self._active:
                 if sampler is not None:
@@ -2156,7 +1944,7 @@ class RegionScheduler:
                             if a.issuer.issue_next() is None:
                                 break
                     except DeviceLostError:
-                        for di in self._lost_members(self._members_of(a)):
+                        for di in self._lost_members(a.members):
                             self._device_lost(di)
                 elif self._active:
                     # everything issued: retire in admission order
@@ -2174,15 +1962,16 @@ class RegionScheduler:
                         (p.device_bytes() for p in w.planned.values()),
                         default=0,
                     )
-                    self._fail(w, MemLimitError(needed, max(self.pool.budgets)))
+                    self._settle(
+                        w, "failed", MemLimitError(needed, max(self.pool.budgets))
+                    )
         finally:
             if self._fault_mode:
                 for rt, was in zip(self.pool.runtimes, old_defer):
                     rt.defer_faults = was
             if sampler is not None:
                 for rt in self.pool.runtimes:
-                    if hasattr(rt.device.sim, "clock_hook"):
-                        rt.device.sim.clock_hook = None
+                    rt.device.sim.clock_hook = None
         self._results.sort(key=lambda r: r.request_id)
         frames: List[Dict] = []
         if sampler is not None:
