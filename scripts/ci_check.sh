@@ -21,6 +21,19 @@ else
     echo "pytest-cov not installed; skipping coverage gate"
 fi
 
+echo "== benchmark output checks: pins, oracle, repetitions =="
+# exit 0 means every output check of the benchmark passed (pinned
+# digests, the serial oracle, repetition agreement), so a scheduler
+# change that moves virtual time fails here, not only in a benchmark run
+for workload in serve-batch region-stream serve-guarded; do
+    if ! bench_out="$(python3 perfbench/run.py --workload "$workload" \
+        --seed 0 --seconds 1 --trace 0 2>&1)"; then
+        echo "perfbench $workload failed its output checks:" >&2
+        echo "$bench_out" >&2
+        exit 1
+    fi
+done
+
 echo "== CLI smoke: profile =="
 python -m repro profile stencil >/dev/null
 
