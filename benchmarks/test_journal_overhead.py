@@ -2,14 +2,14 @@
 
 Serves the mixed 8-region workload (4x qcd alternating 4x stencil, the
 ``test_serve_throughput`` mix) with the write-ahead journal off and on
-(snapshots every 32 records) and reports two costs:
+and reports two costs:
 
 * **virtual**: the journal is fsync-modelled at zero virtual-time cost,
   so the makespans must be *bit-identical* — asserted, not bounded;
 * **wall**: the real cost is host-side — one canonical-JSON encode +
-  write + flush per control-plane record plus a snapshot per cadence
-  point.  The writer self-times that work (``report.journal["wall_s"]``
-  covers encode, write, flush, and snapshots), so the gated overhead is
+  write + flush per control-plane record.  The writer self-times that
+  work (``report.journal["wall_s"]`` covers encode, write and flush),
+  so the gated overhead is
   the min across rounds of the per-round ratio
   ``journal_wall / (run_wall - journal_wall)``: the journal's share
   measured exactly, not the difference of two noisy end-to-end timings
@@ -66,9 +66,7 @@ def mixed_workload():
 
 def serve_mixed(journal_path=None):
     pool = DevicePool("k40m", count=1)
-    sched = RegionScheduler(
-        pool, ServeConfig(journal_path=journal_path, snapshot_every=32)
-    )
+    sched = RegionScheduler(pool, ServeConfig(journal_path=journal_path))
     sched.submit_all(mixed_workload())
     report = sched.run()
     assert report.ok
@@ -95,7 +93,7 @@ def measure(cache):
                 # numerator and denominator from the SAME round: the
                 # ratio is a per-round measurement, its min across
                 # rounds the least noise-contaminated one (round 0 is
-                # warmup — cold hashlib/atomic-write paths inflate it)
+                # warmup — cold encode and file-write paths inflate it)
                 row = (js / (wall - js), js)
                 if best is None or row < best:
                     best = row
@@ -111,7 +109,6 @@ def measure(cache):
                 "journal_overhead": overhead,
                 "records": on.journal["records"],
                 "fsyncs": on.journal["fsyncs"],
-                "snapshots": on.journal["snapshots"],
             }
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
@@ -170,10 +167,9 @@ def test_journal_overhead(benchmark, cache, report):
     _write_bench(data)
     _check_baseline(data)
 
-    # the journal actually journalled (and snapshotted) this run …
+    # the journal actually journalled this run …
     assert data["records"] > 30
     assert data["fsyncs"] == data["records"]
-    assert data["snapshots"] >= 1
     assert data["journal_wall_s"] > 0.0  # the cost model is real
     # … at zero virtual cost and bounded wall cost
     assert data["makespan_on"] == data["makespan_off"]

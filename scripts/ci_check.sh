@@ -253,20 +253,43 @@ fi
 echo "== CLI smoke: journalled serve crash-resumes exactly-once =="
 jr_dir="$(mktemp -d -t repro-journal-XXXXXX)"
 trap 'rm -f "$tmp" "$straggler_wl"; rm -rf "$eb_dir" "$jr_dir"' EXIT
+# durable state is the journal plus its output store, nothing else:
+# resume rests on verified replay, so no state snapshot is ever written
+check_journal_files() {
+    local extra
+    extra="$(ls -A "$jr_dir" | grep -vx 'serve\.journal\(\.out\)\?' || true)"
+    if [ -n "$extra" ]; then
+        echo "journal dir $1 holds unexpected files: $extra" >&2
+        exit 1
+    fi
+    if grep -q snapshot "$jr_dir/serve.journal"; then
+        echo "journal $1 holds snapshot records" >&2
+        exit 1
+    fi
+}
 # the hostcrash profile kills the control plane after record 12 is
 # durable; the injected crash is exit 3 (resumable), not a failure
 rc=0
-python -m repro serve examples/serve_workload.json \
+crash_err="$(python -m repro serve examples/serve_workload.json \
     --chaos hostcrash --journal "$jr_dir/serve.journal" \
-    --snapshot-every 8 >/dev/null 2>&1 || rc=$?
+    2>&1 >/dev/null)" || rc=$?
 if [ "$rc" -ne 3 ]; then
     echo "injected host crash should exit 3, got $rc" >&2
+    exit 1
+fi
+check_journal_files "after the crash"
+# the printed hint must resume as is: no flag this build lacks
+if ! echo "$crash_err" | grep -q "resume with: .* --resume" \
+    || echo "$crash_err" | grep -q snapshot; then
+    echo "bad resume hint after the host crash:" >&2
+    echo "$crash_err" >&2
     exit 1
 fi
 # resume replays the journal, restores completed outputs from the
 # sidecar store, and finishes the rest — re-executing nothing
 resume_out="$(python -m repro serve examples/serve_workload.json \
-    --journal "$jr_dir/serve.journal" --snapshot-every 8 --resume)"
+    --journal "$jr_dir/serve.journal" --resume)"
+check_journal_files "after the resume"
 if ! echo "$resume_out" | grep -q "resumed=1"; then
     echo "resumed serve did not report resumed=1:" >&2
     echo "$resume_out" >&2

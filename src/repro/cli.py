@@ -508,7 +508,6 @@ def _serve(args) -> int:
             integrity=args.integrity,
             straggler_watchdog=args.watchdog,
             journal_path=args.journal,
-            snapshot_every=args.snapshot_every,
             crash_after_events=args.crash_after,
             # SLOs declared in the workload always flow through; the
             # sampler also runs for --telemetry PATH / --slo-report
@@ -543,8 +542,6 @@ def _serve(args) -> int:
             # byte-verifies the header, so a hint that drops one of
             # these would diverge at record 0
             hint = f"repro serve {args.workload} --journal {args.journal}"
-            if args.snapshot_every != 32:
-                hint += f" --snapshot-every {args.snapshot_every}"
             if args.serial:
                 hint += " --serial"
             if args.integrity != "off":
@@ -834,12 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume a crashed run from --journal PATH: completed "
         "requests are never re-executed, the report and outputs are "
         "byte-identical to the uninterrupted run",
-    )
-    sv.add_argument(
-        "--snapshot-every", type=int, default=32, metavar="N",
-        dest="snapshot_every",
-        help="checkpoint cadence in journal records (default 32; "
-        "0 disables snapshots)",
     )
     sv.add_argument(
         "--crash-after", type=int, default=None, metavar="K",

@@ -16,8 +16,6 @@ Public entry points:
     device ring buffer with automatic index translation
     ("Pipelined-buffer").
 
-  ``run_naive`` / ``run_pipelined`` remain as deprecated aliases.
-
 * :class:`~repro.core.kernel.RegionKernel` — the kernel protocol
   (a cost model plus a NumPy functional body operating on translated
   chunk views).

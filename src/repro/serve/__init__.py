@@ -30,7 +30,6 @@ from repro.serve.journal import (
     JournalReader,
     JournalWriter,
     output_store_path,
-    snapshot_path,
 )
 from repro.serve.pool import DevicePool
 from repro.serve.request import RegionRequest, RequestResult
@@ -59,5 +58,4 @@ __all__ = [
     "load_workload",
     "output_store_path",
     "random_workload",
-    "snapshot_path",
 ]

@@ -74,7 +74,6 @@ run.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import os
 import time
@@ -98,7 +97,7 @@ from repro.gpu.errors import (
     TransferError,
 )
 from repro.integrity import INTEGRITY_OFF, validate_integrity
-from repro.obs.io import atomic_write_json, atomic_write_text
+from repro.obs.io import atomic_write_text
 from repro.obs.metrics import Histogram
 from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import (
@@ -113,9 +112,7 @@ from repro.serve.journal import (
     JournalError,
     JournalReader,
     JournalWriter,
-    encode_record,
     output_store_path,
-    snapshot_path,
 )
 from repro.serve.pool import DevicePool
 from repro.serve.request import RegionRequest, RequestResult
@@ -222,9 +219,6 @@ class ServeConfig:
         Write-ahead journal file for crash-consistent serving
         (``None`` = no journal).  See :mod:`repro.serve.journal` and
         ``docs/serve.md``.
-    snapshot_every:
-        Checkpoint cadence: write an atomic state snapshot every this
-        many journal records (0 = never; requires ``journal_path``).
     crash_after_events:
         Host-crash injection: kill the serve loop with
         :class:`~repro.faults.HostCrashError` once this many journal
@@ -276,7 +270,6 @@ class ServeConfig:
     integrity: str = INTEGRITY_OFF
     straggler_watchdog: object = False
     journal_path: Optional[str] = None
-    snapshot_every: int = 32
     crash_after_events: Optional[int] = None
     telemetry: bool = False
     telemetry_window: float = 1e-3
@@ -324,8 +317,6 @@ class ServeConfig:
             raise InvalidValueError("max_waiting must be >= 1 (or None)")
         if self.flight_recorder_capacity < 1:
             raise InvalidValueError("flight_recorder_capacity must be >= 1")
-        if self.snapshot_every < 0:
-            raise InvalidValueError("snapshot_every must be >= 0")
         if self.crash_after_events is not None and self.crash_after_events < 1:
             raise InvalidValueError("crash_after_events must be >= 1 (or None)")
 
@@ -356,7 +347,7 @@ class ServeReport:
     #: :meth:`to_dict` — dumps are post-mortem artifacts, not metrics
     flight_dumps: List[Dict] = field(default_factory=list, repr=False)
     #: journal counters when the run carried a write-ahead journal
-    #: (path/records/fsyncs/snapshots/resumed/replayed/deduped/
+    #: (path/records/fsyncs/resumed/replayed/deduped/
     #: reexecuted); empty without one.  Excluded from :meth:`to_dict`
     #: on purpose — a resumed run's digest must stay byte-identical to
     #: the uninterrupted (and journal-free) run's
@@ -540,7 +531,6 @@ class ServeReport:
             j = self.journal
             lines.append(
                 f"journal          {j.get('records', 0)} record(s), "
-                f"{j.get('snapshots', 0)} snapshot(s), "
                 f"{j.get('fsyncs', 0)} fsync(s), "
                 f"resumed={j.get('resumed', 0)}, "
                 f"replayed={j.get('replayed', 0)}, "
@@ -764,11 +754,9 @@ class RegionScheduler:
                 crash = pool.crash_after_events
             self._journal = JournalWriter(
                 self.config.journal_path,
-                snapshot_every=self.config.snapshot_every,
                 crash_after_events=crash,
                 resume_lines=_resume.lines if _resume is not None else None,
             )
-            self._journal.snapshot_fn = self.checkpoint
             self._journal.append(self._header_record())
             self.recorder.sink = self._journal_sink
 
@@ -900,7 +888,7 @@ class RegionScheduler:
                     )
 
     # ------------------------------------------------------------------
-    # journal: checkpoint and resume
+    # journal and resume
     # ------------------------------------------------------------------
     def _journal_sink(self, ev: Dict) -> None:
         """Tee a flight-recorder event into the write-ahead journal.
@@ -952,62 +940,6 @@ class RegionScheduler:
             "virtual": all(rt.virtual for rt in self.pool.runtimes),
             "config": conf,
         }
-
-    def checkpoint(self) -> Dict:
-        """Package the scheduler's full mutable state, JSON-safe.
-
-        With a journal attached the snapshot is atomically written to
-        the ``<journal>.snap.json`` sidecar and its digest journalled
-        as a ``journal.snapshot`` record — during a resume the digest
-        is regenerated and byte-compared, which is the proof that this
-        state is reconstructed exactly at every cadence point.
-        """
-        self._forget_candidates()
-        state: Dict[str, object] = {
-            "clock": self._clock(),
-            "seq": self._seq,
-            "admit_seq": self._admit_seq,
-            "waiting": [
-                [w.seq, w.req.tenant, w.req.label, w.req.priority,
-                 self._effective_priority(w), w.passed_over, w.overtaken,
-                 bool(w.oom_deferred), bool(w.migrated),
-                 w.faults_seen, w.retries_used]
-                for w in self._waiting
-            ],
-            "active": [
-                [a.waiting.seq, a.admit_seq, a.members[0],
-                 list(a.members) if len(a.members) > 1 else None,
-                 int(a.reserved), a.issuer.issued, a.issuer.remaining,
-                 a.issuer.retries_n]
-                for a in self._active
-            ],
-            "completed": sorted(r.request_id for r in self._results),
-            "reserved": [int(b) for b in self.pool.reserved],
-            "health": list(self.pool.health),
-            "quarantined_until": list(self._quarantined_until),
-            "breaker_windows": [list(ts) for ts in self._fault_times],
-            "breaker_trips": list(self._breaker_trips),
-            "cache": {
-                "entries": self.cache.dump_entries(),
-                **self.cache.stats(),
-            },
-            "plan_seconds": self.plan_seconds,
-            "dry_runs": self.dry_runs,
-            "device_elapsed": [rt.elapsed for rt in self.pool.runtimes],
-        }
-        if self._journal is not None:
-            digest = hashlib.sha256(
-                encode_record(state).encode("utf-8")
-            ).hexdigest()[:16]
-            hwm = self._journal.records
-            atomic_write_json(
-                snapshot_path(self._journal.path),
-                {"digest": digest, "records": hwm, "state": state},
-                indent=1,
-                sort_keys=True,
-            )
-            self.recorder.record("journal.snapshot", records=hwm, digest=digest)
-        return state
 
     def _journal_done(self, result: RequestResult) -> None:
         """Journal a request's terminal outcome, full fidelity.
@@ -1432,8 +1364,8 @@ class RegionScheduler:
         priority (ties to submission order), or None.
 
         Between the events that call :meth:`_forget_candidates` (a
-        submit, a release, a device lost, a quarantine expiring, a
-        checkpoint) headroom only shrinks, and every waiter that did not
+        submit, a release, a device lost, a quarantine expiring)
+        headroom only shrinks, and every waiter that did not
         fit at the last full scan is planned on every in-service device:
         it still does not fit, and re-planning it would change nothing.
         So only that scan's fitting waiters, the candidates, are
@@ -1458,8 +1390,6 @@ class RegionScheduler:
             # it was not planned on yet (plan cache and dry-run effects),
             # so each one is re-checked, in submission order
             for w in list(self._cands.values()):
-                if self._cands is None:
-                    break  # a checkpoint forgot them: rescan everyone
                 try:
                     if self._place(w, order, room) is None:
                         self._drop_candidate(w)
@@ -2205,7 +2135,6 @@ class RegionScheduler:
                 "path": self._journal.path,
                 "records": self._journal.records,
                 "fsyncs": self._journal.fsyncs,
-                "snapshots": self._journal.snapshots,
                 "resumed": 1 if self._resumed else 0,
                 "replayed": self._journal.verified,
                 "deduped": self._deduped,
@@ -2218,7 +2147,6 @@ class RegionScheduler:
                 m = self.obs.metrics
                 m.counter("serve.journal.records").inc(self._journal.records)
                 m.counter("serve.journal.fsyncs").inc(self._journal.fsyncs)
-                m.counter("serve.journal.snapshots").inc(self._journal.snapshots)
                 if self._resumed:
                     m.counter("serve.journal.resumes").inc()
                     m.counter("serve.journal.replayed").inc(

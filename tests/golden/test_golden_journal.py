@@ -2,7 +2,7 @@
 
 ``tests/golden/serve_journal.jsonl`` pins the exact write-ahead journal
 of one small stencil serving scenario: two tenants, one virtual K40m,
-snapshots every 8 records.  The scheduler is virtual-time deterministic
+the default config.  The scheduler is virtual-time deterministic
 and the journal encoding is canonical (sorted keys, compact separators,
 ``journal_path`` excluded from the header), so the file must match
 **byte for byte** — any change to the event timeline, record shape, or
@@ -43,9 +43,7 @@ def _journal_text(tmp_path) -> str:
                       config={"nz": 12, "ny": 16, "nx": 16}, virtual=True),
     ]
     pool = DevicePool("k40m", virtual=True)
-    sched = RegionScheduler(
-        pool, ServeConfig(journal_path=path, snapshot_every=8)
-    )
+    sched = RegionScheduler(pool, ServeConfig(journal_path=path))
     sched.submit_all(requests)
     report = sched.run()
     pool.close()
@@ -97,7 +95,7 @@ def test_golden_journal_resumes_on_this_build(tmp_path):
     ]
     pool = DevicePool("k40m", virtual=True)
     sched = RegionScheduler.resume(
-        str(path), pool, requests, config=ServeConfig(snapshot_every=8)
+        str(path), pool, requests, config=ServeConfig()
     )
     report = sched.run()
     pool.close()

@@ -109,7 +109,7 @@ class TestSnapshot:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_write_analysis_round_trips(self, analysis, tmp_path):
-        p = tmp_path / "snap.json"
+        p = tmp_path / "analysis.json"
         snap = analysis.to_dict()
         write_analysis(snap, str(p))
         assert json.loads(p.read_text()) == snap

@@ -174,9 +174,7 @@ def test_crash_resume_is_byte_identical_and_leak_free(seed, n, devices, frac):
 
         def once(crash):
             pool = DevicePool("k40m", count=devices, virtual=True)
-            config = ServeConfig(
-                journal_path=path, snapshot_every=8, crash_after_events=crash
-            )
+            config = ServeConfig(journal_path=path, crash_after_events=crash)
             try:
                 sched = RegionScheduler(pool, config)
                 sched.submit_all(random_workload(seed=seed, n=n))
@@ -195,7 +193,7 @@ def test_crash_resume_is_byte_identical_and_leak_free(seed, n, devices, frac):
         pool = DevicePool("k40m", count=devices, virtual=True)
         sched = RegionScheduler.resume(
             path, pool, random_workload(seed=seed, n=n),
-            config=ServeConfig(snapshot_every=8),
+            config=ServeConfig(),
         )
         report = sched.run()
         # zero reservation leaks across the crash/resume boundary
