@@ -340,5 +340,25 @@ if ! grep -q "^repro_serve_requests_ok 4" "$tele_dir/tele.jsonl.prom"; then
 fi
 # the saved stream renders on the dashboard (and is a valid stream)
 python -m repro top "$tele_dir/tele.jsonl" | grep -q "slo tenant"
+# the same run journalled: the telemetry stream stays byte-identical,
+# and the journal keeps per-window and per-chunk progress out
+python -m repro serve "$tele_dir/mixed.json" \
+    --telemetry "$tele_dir/tele_j.jsonl" --slo-report \
+    --journal "$tele_dir/serve.journal" > /dev/null
+if ! cmp -s "$tele_dir/tele.jsonl" "$tele_dir/tele_j.jsonl"; then
+    echo "journalling changed the telemetry stream bytes" >&2
+    exit 1
+fi
+if ! grep -q '"kind":"journal.header"' "$tele_dir/serve.journal"; then
+    echo "journalled telemetry run wrote no journal header" >&2
+    exit 1
+fi
+if grep -E -q '"kind":"(telemetry\.window|chunk\.issue)"' \
+        "$tele_dir/serve.journal"; then
+    echo "journal holds telemetry.window or chunk.issue records:" >&2
+    grep -E '"kind":"(telemetry\.window|chunk\.issue)"' \
+        "$tele_dir/serve.journal" | head -3 >&2
+    exit 1
+fi
 
 echo "CI checks passed."

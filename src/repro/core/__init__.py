@@ -36,7 +36,6 @@ from repro.core.multidevice import (
     MultiDeviceResult,
     ShardedIssuer,
     ShardedResult,
-    execute_multi_device,
     execute_sharded,
 )
 from repro.core.placement import (
@@ -65,7 +64,6 @@ __all__ = [
     "TargetRegion",
     "autotune",
     "make_kernel",
-    "execute_multi_device",
     "execute_sharded",
     "parse_devices_arg",
     "resolve_profile_spec",

@@ -39,17 +39,13 @@ outputs already live in the host arrays and re-running a chunk is
 idempotent, so the healed output is ``np.array_equal``-exact.  Under
 the scheduler ``self_heal=False`` and the loss escalates to pool-level
 failover instead.
-
-``execute_multi_device`` — the old serial per-device entry point — is
-kept as a deprecated shim; use ``region.run(devices=...)``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import ChainMap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,7 +73,6 @@ __all__ = [
     "ShardedIssuer",
     "ShardedResult",
     "WatchdogConfig",
-    "execute_multi_device",
     "execute_sharded",
     "probe_rates",
     "split_loop",
@@ -154,11 +149,6 @@ class MultiDeviceResult:
     def elapsed(self) -> float:
         """Concurrent wall time (max over devices)."""
         return max(r.elapsed for r in self.per_device)
-
-    @property
-    def total_memory_peak(self) -> int:
-        """Sum of per-device peaks (each device has its own memory)."""
-        return sum(r.memory_peak for r in self.per_device)
 
     def imbalance(self) -> float:
         """Relative gap between the slowest and fastest device."""
@@ -460,13 +450,6 @@ class ShardedIssuer:
         #: re-splits caused by the watchdog (subset of ``resplits``)
         self.straggler_resplits = 0
         self.halo_bytes = 0
-        #: faults/retries accumulated by shards that have since died
-        self._base_faults = 0
-        self._base_retries = 0
-        #: integrity counters accumulated by since-dead shards
-        self._base_verified = 0
-        self._base_corruptions = 0
-        self._base_seam = 0
         #: chunks a dead shard completed before dying (kept for counts)
         self._retired_chunks: List = []
         self._base_issued = 0
@@ -518,31 +501,34 @@ class ShardedIssuer:
         subs = [sh.issuer.streams_n for sh in self._shards if sh.issuer is not None]
         return max(subs, default=min(self.plan.num_streams, max(1, self.remaining)))
 
+    def _total(self, counter: str) -> int:
+        """Sum a sub-issuer counter over every shard that opened one
+        (a dead shard's counters stop changing at its ``abort()``)."""
+        return sum(
+            getattr(sh.issuer, counter)
+            for sh in self._shards
+            if sh.issuer is not None
+        )
+
     @property
     def faults_n(self) -> int:
-        return self._base_faults + sum(sh.issuer.faults_n for sh in self._live())
+        return self._total("faults_n")
 
     @property
     def retries_n(self) -> int:
-        return self._base_retries + sum(sh.issuer.retries_n for sh in self._live())
+        return self._total("retries_n")
 
     @property
     def verified_n(self) -> int:
-        return self._base_verified + sum(
-            sh.issuer.verified_n for sh in self._live()
-        )
+        return self._total("verified_n")
 
     @property
     def corruptions_n(self) -> int:
-        return self._base_corruptions + sum(
-            sh.issuer.corruptions_n for sh in self._live()
-        )
+        return self._total("corruptions_n")
 
     @property
     def seam_verified_n(self) -> int:
-        return self._base_seam + sum(
-            sh.issuer.seam_verified_n for sh in self._live()
-        )
+        return self._total("seam_verified_n")
 
     @property
     def _corruptions(self) -> List:
@@ -995,11 +981,6 @@ class ShardedIssuer:
             )
         issuer = dead.issuer
         issuer.abort()
-        self._base_faults += issuer.faults_n
-        self._base_retries += issuer.retries_n
-        self._base_verified += issuer.verified_n
-        self._base_corruptions += issuer.corruptions_n
-        self._base_seam += issuer.seam_verified_n
         self._parked.pop(id(issuer), None)
         done = self._completed_chunks(issuer)
         if issuer._corruptions:
@@ -1157,41 +1138,3 @@ def execute_sharded(
         stragglers=issuer.straggler_resplits,
     )
 
-
-def execute_multi_device(
-    runtimes: Sequence[Runtime],
-    region,
-    arrays: Dict[str, np.ndarray],
-    kernel: RegionKernel,
-    *,
-    weights: Optional[Sequence[float]] = None,
-) -> MultiDeviceResult:
-    """Deprecated: run one region's shares serially, one per device.
-
-    This is the pre-sharding entry point: each device's share runs as
-    an independent :func:`execute_pipeline` on a private link and a
-    private clock — no shared-clock barrier, no halo exchange, no PCIe
-    contention.  Use ``region.run(arrays, kernel, devices=...)`` (or
-    :func:`execute_sharded`) for the honest multi-device model.
-    """
-    warnings.warn(
-        "execute_multi_device() is deprecated; use "
-        "region.run(..., devices=...) or execute_sharded()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if not runtimes:
-        raise DirectiveError("need at least one device")
-    plan = region.bind(arrays)
-    if weights is None:
-        weights = probe_rates(runtimes, plan, arrays, kernel)
-    if len(weights) != len(runtimes):
-        raise DirectiveError("one weight per device required")
-    shares = split_loop(plan.loop, weights)
-    results = []
-    for rt, (t0, t1) in zip(runtimes, shares):
-        sub = _subloop_plan(plan, t0, t1)
-        results.append(execute_pipeline(rt, sub, arrays, kernel))
-    return MultiDeviceResult(
-        per_device=results, shares=[t1 - t0 for t0, t1 in shares]
-    )

@@ -41,7 +41,7 @@ from repro.obs.analyze.snapshot import (
     write_analysis,
 )
 from repro.obs.analyze.whatif import engine_busy, what_if_bounds
-from repro.obs.intervals import union_length
+from repro.obs.intervals import hidden_fraction
 from repro.sim.engine import Command
 
 __all__ = [
@@ -65,22 +65,10 @@ __all__ = [
 
 def _overlap(done: Sequence[Command]) -> float:
     """Fraction of transfer busy-time overlapped with kernel execution."""
-    kernels = sorted(
-        (c.start_time, c.finish_time) for c in done if c.kind == "kernel"
+    return hidden_fraction(
+        [(c.start_time, c.finish_time) for c in done if c.kind == "kernel"],
+        [(c.start_time, c.finish_time) for c in done if c.kind in ("h2d", "d2h")],
     )
-    transfers = [c for c in done if c.kind in ("h2d", "d2h")]
-    if not transfers:
-        return 0.0
-    hidden = total = 0.0
-    for t in transfers:
-        total += t.finish_time - t.start_time
-        pieces = [
-            (max(lo, t.start_time), min(hi, t.finish_time))
-            for lo, hi in kernels
-            if hi > t.start_time and lo < t.finish_time
-        ]
-        hidden += union_length(pieces)
-    return hidden / total if total else 0.0
 
 
 @dataclass

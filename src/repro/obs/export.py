@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.obs.intervals import union_length
+from repro.obs.intervals import hidden_fraction
 from repro.obs.io import atomic_write_json
 from repro.obs.tracer import Span
 
@@ -145,19 +145,7 @@ def overlap_from_events(trace: Dict, *, time_unit: float = 1e6) -> float:
             kernels.append((lo, hi))
         elif e.get("cat") in ("h2d", "d2h"):
             transfers.append((lo, hi))
-    if not transfers:
-        return 0.0
-    kernels.sort()
-    hidden = total = 0.0
-    for t_lo, t_hi in transfers:
-        total += t_hi - t_lo
-        pieces = [
-            (max(k_lo, t_lo), min(k_hi, t_hi))
-            for k_lo, k_hi in kernels
-            if k_hi > t_lo and k_lo < t_hi
-        ]
-        hidden += union_length(pieces)
-    return hidden / total if total else 0.0
+    return hidden_fraction(kernels, transfers)
 
 
 # ----------------------------------------------------------------------

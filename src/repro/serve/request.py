@@ -167,9 +167,8 @@ class RequestResult:
         """Full-fidelity JSON-safe encoding for the serve journal.
 
         Unlike :meth:`to_dict` (a digest that drops zero-valued
-        optional fields), this round-trips *every* field exactly, so a
-        resumed run can reconstruct the record bit-for-bit and the
-        journal byte-compare can vouch for it.
+        optional fields), this encodes *every* field, so the journal
+        byte-compare on resume vouches for the whole record.
         """
         from dataclasses import fields as _fields
 
@@ -182,14 +181,6 @@ class RequestResult:
                 v = dict(v)
             state[f.name] = v
         return state
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "RequestResult":
-        """Inverse of :meth:`to_state`."""
-        data = dict(state)
-        data["devices"] = tuple(data.get("devices", ()))
-        data["busy"] = dict(data.get("busy", {}))
-        return cls(**data)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe digest."""

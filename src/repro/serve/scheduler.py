@@ -124,6 +124,14 @@ __all__ = ["ServeConfig", "RegionScheduler", "ServeReport"]
 #: SRE fast-burn page (2% of a 30-day budget in one hour = 14.4x)
 _BURN_SPIKE = 14.4
 
+#: virtual seconds charged to the serving device's host clock per
+#: autotune dry run on a cache miss (the modelled cost of the planning
+#: work warm traffic skips)
+_PLAN_CHARGE = 2e-5
+
+#: stream-count ceiling for the autotune ladder
+_MAX_STREAMS = 4
+
 #: terminal status -> (flight-recorder event, its text field,
 #: post-mortem dump reason, the dump's text field).  A request still
 #: waiting records the event only; an in-flight one also dumps.
@@ -161,14 +169,6 @@ class ServeConfig:
         Tune ``(chunk_size, num_streams)`` by virtual dry runs on cache
         misses.  Off, the request's own pragma parameters are used
         (memory-tuned only).
-    plan_charge:
-        Virtual seconds charged to the serving device's host clock per
-        autotune dry run on a cache miss (the modelled cost of the
-        planning work warm traffic skips).
-    max_streams:
-        Stream-count ceiling for the autotune ladder.
-    issue_quantum:
-        Chunks issued per scheduling turn for the selected region.
     fault_policy:
         Per-chunk replay policy used when the pool carries fault
         injectors (``None`` = a default :class:`~repro.faults.FaultPolicy`
@@ -238,11 +238,6 @@ class ServeConfig:
     telemetry_path:
         Write the telemetry JSONL stream here at the end of the run
         (plus a Prometheus text dump at ``<path>.prom``).
-    telemetry_journal:
-        Tee per-window ``telemetry.window`` flight-recorder events
-        into the write-ahead journal (default off: like
-        ``chunk.issue`` they are progress telemetry, regenerated
-        deterministically on resume, and would bloat the journal).
     slos:
         Per-tenant :class:`~repro.obs.SLO` objectives (plain dicts
         accepted), usually collected from the workload's ``slo`` keys.
@@ -256,9 +251,6 @@ class ServeConfig:
     aging_every: int = 4
     max_priority: int = 8
     autotune: bool = True
-    plan_charge: float = 2e-5
-    max_streams: int = 4
-    issue_quantum: int = 1
     fault_policy: Optional[FaultPolicy] = None
     max_request_retries: Optional[int] = None
     breaker_threshold: int = 3
@@ -274,7 +266,6 @@ class ServeConfig:
     telemetry: bool = False
     telemetry_window: float = 1e-3
     telemetry_path: Optional[str] = None
-    telemetry_journal: bool = False
     slos: Optional[Dict[str, SLO]] = None
 
     def __post_init__(self) -> None:
@@ -301,10 +292,6 @@ class ServeConfig:
             raise InvalidValueError("max_active must be >= 1 (or None)")
         if self.aging_every < 1:
             raise InvalidValueError("aging_every must be >= 1")
-        if self.issue_quantum < 1:
-            raise InvalidValueError("issue_quantum must be >= 1")
-        if self.plan_charge < 0:
-            raise InvalidValueError("plan_charge must be >= 0")
         if self.max_request_retries is not None and self.max_request_retries < 0:
             raise InvalidValueError("max_request_retries must be >= 0 (or None)")
         if self.breaker_threshold < 1:
@@ -899,18 +886,12 @@ class RegionScheduler:
         at the next journalled transition's byte-compare.  Filtering it
         keeps the journal compact — its volume stays proportional to
         requests, not chunks.  ``telemetry.window`` is filtered for the
-        same reason (volume proportional to windows) unless
-        ``telemetry_journal`` opts into crash-consistent telemetry;
-        the ``slo.*`` events are always journalled — they regenerate
-        deterministically on resume and the byte-compare vouches for
-        the SLO state.
+        same reason (volume proportional to windows).  The ``slo.*``
+        events are journalled — they regenerate deterministically on
+        resume and the byte-compare vouches for the SLO state.
         """
-        kind = ev.get("kind")
-        if kind == "chunk.issue":
-            return
-        if kind == "telemetry.window" and not self.config.telemetry_journal:
-            return
-        self._journal.append(ev)
+        if ev.get("kind") not in ("chunk.issue", "telemetry.window"):
+            self._journal.append(ev)
     def _header_record(self) -> Dict:
         """Journal record 0: environment + config fingerprint.
 
@@ -1160,7 +1141,7 @@ class RegionScheduler:
             if self.config.autotune:
                 report = autotune(
                     req.region, rt, req.arrays, req.kernel,
-                    max_streams=self.config.max_streams,
+                    max_streams=_MAX_STREAMS,
                 )
                 w.dry_runs += report.dry_runs
                 self.dry_runs += report.dry_runs
@@ -1513,7 +1494,7 @@ class RegionScheduler:
                 raise
         admit_t = runtimes[0].elapsed
         if w.dry_runs:
-            charge = w.dry_runs * self.config.plan_charge
+            charge = w.dry_runs * _PLAN_CHARGE
             runtimes[0].host_now += charge
             self.plan_seconds += charge
             w.dry_runs = 0  # charge once
@@ -2042,9 +2023,7 @@ class RegionScheduler:
                 if self._issue_heap:
                     a = heapq.heappop(self._issue_heap)[2]
                     try:
-                        for _ in range(cfg.issue_quantum):
-                            if a.issuer.issue_next() is None:
-                                break
+                        a.issuer.issue_next()
                     except DeviceLostError:
                         for di in self._lost_members(a.members):
                             self._device_lost(di)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.intervals import union_length
+from repro.obs.intervals import hidden_fraction
 
 __all__ = [
     "TimelineRecord",
@@ -127,24 +127,11 @@ def overlap_fraction(timeline: Timeline) -> float:
     1.0 means every transferred byte moved while a kernel was running
     (perfect pipelining); 0.0 means fully synchronous behaviour.
     """
-    kernels = [(r.start, r.finish) for r in timeline.records if r.kind == "kernel"]
-    transfers = [r for r in timeline.records if r.kind in ("h2d", "d2h")]
-    if not transfers:
-        return 0.0
-    kernel_ivs = sorted(kernels)
-    hidden = 0.0
-    total = 0.0
-    for t in transfers:
-        total += t.duration
-        pieces = []
-        for lo, hi in kernel_ivs:
-            if hi <= t.start:
-                continue
-            if lo >= t.finish:
-                break
-            pieces.append((max(lo, t.start), min(hi, t.finish)))
-        hidden += union_length(pieces)
-    return hidden / total if total else 0.0
+    records = timeline.records
+    return hidden_fraction(
+        [(r.start, r.finish) for r in records if r.kind == "kernel"],
+        [(r.start, r.finish) for r in records if r.kind in ("h2d", "d2h")],
+    )
 
 
 def audit(timeline: Timeline) -> None:

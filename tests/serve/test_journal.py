@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, HostCrashError, pool_fault_plans
+from repro.obs import SLO
 from repro.serve import (
     DevicePool,
     JournalError,
@@ -118,16 +120,14 @@ class TestJournalFile:
     )
     def test_format_mismatch_raises(self, tmp_path, fmt):
         path = tmp_path / "j.journal"
-        lines = [encode_record({"i": 0, "kind": "journal.header", "format": fmt})]
+        header = {"i": 0, "kind": "journal.header", "format": fmt}
         if fmt < JOURNAL_FORMAT:
-            # format 2 journalled periodic state snapshots, a record kind
-            # this build never writes: the format check must reject it
-            # before replay could report a confusing record divergence
-            lines.append(encode_record({
-                "i": 1, "kind": "journal.snapshot", "records": 1,
-                "digest": "00af73eabd907249", "seq": 2, "t": 0.0,
-            }))
-        path.write_text("\n".join(lines) + "\n")
+            # a format-3 header still carried the knobs since turned into
+            # constants (``max_streams`` among them), a config this build
+            # never writes: the format check must reject it before replay
+            # could report a confusing record-0 divergence
+            header["config"] = {"autotune": True, "max_streams": 4}
+        path.write_text(encode_record(header) + "\n")
         with pytest.raises(JournalError, match=f"has format {fmt};"):
             JournalReader(str(path))
 
@@ -174,8 +174,8 @@ class TestConfigValidation:
         [
             ({"max_active": 0}, "max_active"),
             ({"aging_every": 0}, "aging_every"),
-            ({"issue_quantum": 0}, "issue_quantum"),
-            ({"plan_charge": -1e-6}, "plan_charge"),
+            ({"slos": ["tenant0"]}, "slos"),
+            ({"slos": {"tenant0": {"target": 7}}}, "slos"),
             ({"max_request_retries": -1}, "max_request_retries"),
             ({"breaker_threshold": 0}, "breaker_threshold"),
             ({"breaker_window": 0.0}, "breaker_window"),
@@ -271,13 +271,15 @@ class TestJournalledServe:
 # ----------------------------------------------------------------------
 # crash + resume
 # ----------------------------------------------------------------------
-def _crash_run(requests, path, k, *, devices=1, virtual=True):
+def _crash_run(requests, path, k, *, devices=1, virtual=True, config=None):
     """Run under crash injection; returns True if the crash fired."""
     pool = DevicePool("k40m", count=devices, virtual=virtual)
     try:
         sched = RegionScheduler(
             pool,
-            ServeConfig(journal_path=path, crash_after_events=k),
+            replace(
+                config or ServeConfig(), journal_path=path, crash_after_events=k
+            ),
         )
         sched.submit_all(requests)
         sched.run()
@@ -288,10 +290,10 @@ def _crash_run(requests, path, k, *, devices=1, virtual=True):
         pool.close()
 
 
-def _resume_run(path, requests, *, devices=1, virtual=True):
+def _resume_run(path, requests, *, devices=1, virtual=True, config=None):
     pool = DevicePool("k40m", count=devices, virtual=virtual)
     sched = RegionScheduler.resume(
-        path, pool, requests, config=ServeConfig()
+        path, pool, requests, config=config or ServeConfig()
     )
     report = sched.run()
     assert pool.reserved == [0] * devices  # zero reservation leaks
@@ -299,23 +301,44 @@ def _resume_run(path, requests, *, devices=1, virtual=True):
     return report
 
 
+#: a latency objective every request of ``random_workload(seed=9, n=3)``
+#: misses (each takes ~3.8 ms), so the SLO engine emits ``slo.*`` events
+_TIGHT_SLOS = {
+    f"tenant{i}": SLO(target=0.99, latency_s=1e-3) for i in range(3)
+}
+
+
 class TestCrashResume:
-    def test_crash_at_every_index_resumes_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize(
+        "config",
+        [ServeConfig(), ServeConfig(telemetry=True, slos=_TIGHT_SLOS)],
+        ids=["plain", "telemetry-slo"],
+    )
+    def test_crash_at_every_index_resumes_byte_identical(
+        self, tmp_path, config
+    ):
         path = str(tmp_path / "serve.journal")
 
         def reqs():
             return random_workload(seed=9, n=3)
 
-        base = _serve(
-            reqs(), config=ServeConfig(journal_path=path)
-        )
+        base = _serve(reqs(), config=replace(config, journal_path=path))
         want = _dump(base)
         total = base.journal["records"]
         assert total > 10
+        kinds = {rec["kind"] for rec in JournalReader(path).records}
+        if config.slos:
+            # SLO transitions are journalled; progress telemetry is not
+            assert any(kind.startswith("slo.") for kind in kinds)
+            assert not kinds & {"chunk.issue", "telemetry.window"}
+            assert base.telemetry
         for k in range(1, total + 1):
-            assert _crash_run(reqs(), path, k), f"k={k} never crashed"
-            report = _resume_run(path, reqs())
+            assert _crash_run(reqs(), path, k, config=config), (
+                f"k={k} never crashed"
+            )
+            report = _resume_run(path, reqs(), config=config)
             assert _dump(report) == want, f"diverged resuming from k={k}"
+            assert report.telemetry == base.telemetry, f"telemetry k={k}"
             j = report.journal
             assert j["resumed"] == 1
             assert j["replayed"] == k  # every durable record re-verified
